@@ -1,7 +1,8 @@
 """One benchmark per paper table/figure — each regenerates the artifact at
 benchmark scale (SO SF=0.1 ≈ 4.8k rows/150 countries, Flights SF=0.01 ≈
-58k rows) and records wall-clock. The printed tables land in
-bench_output.txt next to the timings; EXPERIMENTS.md diffs them against
+58k rows) and records wall-clock. Run with
+``PYTHONPATH=src python -m pytest benchmarks/bench_tables.py -rP`` to keep
+the printed tables next to the timings; EXPERIMENTS.md diffs them against
 the paper's numbers.
 """
 import pytest

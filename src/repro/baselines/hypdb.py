@@ -24,9 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.contingency import VAL_COL, scan_counts
-from pyspark.sql import functions as F
-
+from repro.core.contingency import VAL_COL, joint_counts, scan_counts
 from repro.core.info_theory import CNT, cmi_from_counts, mi_from_counts
 from repro.core.mcimr import conditional_cmi
 
@@ -65,8 +63,11 @@ def hypdb(
         scan = None  # the precomputed scan may cover a different set
     if scan is None:
         scan = scan_counts(df, [o_bin, t], candidates, weights)
-    base = conditional_cmi(df, o_bin, t, [], weights)
-    n_total = float(df.where(F.col(o_bin).isNotNull() & F.col(t).isNotNull()).count())
+    # The base CMI conditions on no attribute, so no IPW weight applies;
+    # its contingency also holds the number of rows with O and T observed.
+    base_pdf = joint_counts(df, [o_bin, t])
+    base = cmi_from_counts(base_pdf, o_bin, t)
+    n_total = float(base_pdf[CNT].sum())
     confounders: list[str] = []
     delta: dict[str, float] = {}
     for a in candidates:

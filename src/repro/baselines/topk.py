@@ -14,7 +14,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.core.contingency import joint_counts, scan_counts
-from repro.core.info_theory import cmi_from_counts
+from repro.core.info_theory import CNT, cmi_from_counts
 from repro.core.mcimr import conditional_cmi, individual_scores
 
 
@@ -40,14 +40,9 @@ def top_k(
     start = time.perf_counter()
     if scan is None:
         scan = scan_counts(df, [o_bin, t], candidates, weights)
-    from repro.core.info_theory import CNT
-
+    # The base CMI conditions on no attribute, so no IPW weight applies.
     base_pdf = joint_counts(df, [o_bin, t])
-    base = (
-        cmi_from_counts(base_pdf, o_bin, t)
-        if not weights
-        else conditional_cmi(df, o_bin, t, [], weights)
-    )
+    base = cmi_from_counts(base_pdf, o_bin, t)
     # Same support-aware individual score as MCIMR's MCI term (see the
     # estimator note in repro.core.mcimr.individual_scores) — Top-K differs
     # from MESA only by ignoring redundancy and the stopping criterion.

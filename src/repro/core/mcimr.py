@@ -12,11 +12,14 @@ Eq. 1 while only ever estimating *bivariate* distributions. The
 be added is conditionally independent of O given the already-selected set,
 i.e. its responsibility would be ≤ 0; ``k`` is therefore an upper bound.
 
-Spark cost per run: one wide scan pass for all the individual CMI terms
-(shared with online pruning), one scan pass per iteration for the
-redundancy terms against the newly selected attribute, and one small
-joint-contingency job per responsibility test — independent of |A| fan-out
-on the driver.
+Spark cost per run, independent of |A|: one wide scan pass for all the
+individual CMI terms (shared with online pruning, and skipped when the
+caller passes it in), one small joint-contingency job for the base CMI
+I(O;T|C) and the row total (unweighted: the base conditions on no
+attribute, so no IPW weight applies), one responsibility-test
+contingency job and at most one redundancy scan pass against the newly
+selected attribute per iteration, and one contingency job for the final
+CMI.
 """
 from __future__ import annotations
 
@@ -149,12 +152,9 @@ def mcimr(
     start = time.perf_counter()
     if scan is None:
         scan = scan_counts(df, [o_bin, t], candidates, weights)
+    # The base CMI conditions on no attribute, so no IPW weight applies.
     base_pdf = joint_counts(df, [o_bin, t])
-    base_cmi = (
-        cmi_from_counts(base_pdf, o_bin, t)
-        if not weights
-        else conditional_cmi(df, o_bin, t, [], weights)
-    )
+    base_cmi = cmi_from_counts(base_pdf, o_bin, t)
     n_total = float(base_pdf[CNT].sum())
     # Restrict to the candidate list — the precomputed scan may also carry
     # attributes that online pruning has since removed.

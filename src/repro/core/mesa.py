@@ -2,16 +2,23 @@
 
 ``Mesa.explain`` runs the full pipeline on an :class:`AggQuery`:
 
-1. apply the query context; bin the outcome;
+1. apply the query context;
 2. extract candidate attributes from the knowledge source for every
    extraction column (NED → 1..h-hop properties → universal relation),
    offline-pruning at the entity level before the join;
 3. integrate the universal relation(s) with the input table
    (broadcast left joins, prefixed per extraction column);
-4. offline-prune input-table candidates; bin numeric candidates;
+4. profile the integrated frame in one aggregate pass (row count, plus
+   non-null and distinct counts of O and of every candidate);
+   offline-prune input-table candidates from that profile; bin the
+   outcome and the numeric candidates with one quantile pass;
 5. detect selection bias per extracted attribute and fit IPW weights;
 6. one wide scan pass → online pruning → MCIMR (sharing the pass);
 7. responsibility ranking of the selected attributes.
+
+Stages 1–5 (``prepare``) cost a fixed number of Spark passes whatever the
+number of candidates: one ``distinct`` per extraction column, the profile,
+the quantile pass and the IPW passes.
 
 The result carries the explanation plus everything the experiments report:
 explainability scores, pruning/missingness statistics, and stage timings.
@@ -21,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.contingency import scan_counts
@@ -31,7 +39,13 @@ from repro.core.pruning import (
     offline_prune_rows,
     online_prune,
 )
-from repro.core.query import BIN_SUFFIX, AggQuery, apply_context, ensure_binned
+from repro.core.query import (
+    BIN_SUFFIX,
+    AggQuery,
+    apply_context,
+    ensure_binned,
+    profile_columns,
+)
 from repro.core.responsibility import responsibilities
 from repro.kg.extract import Extraction, extract_attributes, integrate
 from repro.kg.graph import KnowledgeGraph
@@ -73,6 +87,9 @@ class MesaResult:
     biased_attrs: set[str] = field(default_factory=set)
     extracted_attrs: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    # The (E, O, T) scan over every prepared candidate, with the prepared
+    # weights: baselines on the same prepared frame reuse it.
+    scan: dict[str, pd.DataFrame] = field(default_factory=dict)
 
     @property
     def explainability(self) -> float:
@@ -118,28 +135,17 @@ class Mesa:
         extraction_cols: list[str] | None = None,
         exclude: set[str] | None = None,
     ) -> PreparedQuery:
-        """Stages 1–5: context, extraction, integration, offline pruning,
-        binning, IPW weights. Returns a cached analysis frame."""
+        """Stages 1–5: context, extraction, integration, profile, offline
+        pruning, binning, IPW weights. Returns a cached analysis frame."""
         cfg = self.cfg
         timings: dict[str, float] = {}
         exclude = exclude or set()
         t0 = time.perf_counter()
         ctx = apply_context(df, query)
         t_col = query.exposure_col
-        # Adaptive bin count: plug-in CMI needs enough rows per cell, so
-        # small contexts (Covid-19 has 188 rows; a Forbes category ~450)
-        # use coarser bins. cfg.bins is the ceiling.
-        n_ctx = ctx.count()
-        bins = min(cfg.bins, max(3, n_ctx // 60))
-        # Outcome binning.
-        ctx, o_map = ensure_binned(ctx, [query.o], bins=bins)
-        o_bin = o_map[query.o]
         # Input-table candidates: everything but O, T, context attrs.
         non_cand = (
-            {query.o, o_bin, t_col}
-            | set(query.t_cols)
-            | query.context_attrs()
-            | exclude
+            {query.o, t_col} | set(query.t_cols) | query.context_attrs() | exclude
         )
         input_cands = [c for c in df.columns if c not in non_cand]
         timings["context"] = time.perf_counter() - t0
@@ -181,6 +187,17 @@ class Mesa:
                 extracted_cols.extend(new_cols)
         timings["extract"] = time.perf_counter() - t0
 
+        # One aggregate pass profiles the integrated frame: the row count
+        # (the left joins keep it) and, for O and every candidate, the
+        # non-null and distinct counts that offline pruning and binning read.
+        t0 = time.perf_counter()
+        profile = profile_columns(ctx, [query.o, *input_cands, *extracted_cols])
+        # Adaptive bin count: plug-in CMI needs enough rows per cell, so
+        # small contexts (Covid-19 has 188 rows; a Forbes category ~450)
+        # use coarser bins. cfg.bins is the ceiling.
+        bins = min(cfg.bins, max(3, profile.n // 60))
+        timings["profile"] = time.perf_counter() - t0
+
         # Offline pruning of input-table candidates (row level).
         t0 = time.perf_counter()
         if cfg.offline_pruning and input_cands:
@@ -189,6 +206,7 @@ class Mesa:
                 input_cands,
                 max_missing=cfg.max_missing,
                 unique_ratio=cfg.unique_ratio,
+                profile=profile,
             )
             for a, reason in rep.dropped.items():
                 offline_report.drop(a, reason)
@@ -197,12 +215,15 @@ class Mesa:
         )
         timings["offline_prune"] = time.perf_counter() - t0
 
-        # Binning of numeric candidates.
+        # Binning of the outcome and the numeric candidates, in one pass.
         t0 = time.perf_counter()
         all_cands = input_cands + extracted_cols
-        ctx, cand_map = ensure_binned(ctx, all_cands, bins=bins)
-        analysis_cols = [cand_map[c] for c in all_cands]
-        extracted_analysis = [cand_map[c] for c in extracted_cols]
+        ctx, bin_map = ensure_binned(
+            ctx, [query.o, *all_cands], bins=bins, profile=profile
+        )
+        o_bin = bin_map[query.o]
+        analysis_cols = [bin_map[c] for c in all_cands]
+        extracted_analysis = [bin_map[c] for c in extracted_cols]
         timings["binning"] = time.perf_counter() - t0
 
         # IPW weights for extracted attributes with selection bias.
@@ -301,6 +322,7 @@ class Mesa:
             biased_attrs=prep.biased,
             extracted_attrs=prep.extracted_attrs,
             timings=timings,
+            scan=scan,
         )
 
     def explain(

@@ -6,7 +6,8 @@ Two families, exactly as the paper stages them:
   never be interesting explanations: constant value, >90% missing values,
   or near-unique "id-like" high-entropy columns (WIKIID). Runs at the
   entity level on the extracted universal relation (cheap pandas) and at
-  the row level for input-table candidates (one Spark aggregation pass).
+  the row level for input-table candidates, from a column profile (one
+  Spark aggregation pass, shared with binning inside ``Mesa.prepare``).
 * **Online (query-specific)** — once O and T are known: drop attributes
   logically dependent on T or O (approximate FDs, ``H(T|E) ≈ H(E|T) ≈ 0``)
   and attributes with low individual relevance (``O ⟂ E | C`` and
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.contingency import VAL_COL
 from repro.core.info_theory import (
     cmi_corrected_from_counts,
     cond_entropy_from_counts,
 )
+from repro.core.query import ColumnProfile, is_numeric, profile_columns
 
 
 @dataclass
@@ -84,23 +85,20 @@ def offline_prune_rows(
     *,
     max_missing: float = 0.9,
     unique_ratio: float = 0.95,
+    profile: ColumnProfile | None = None,
 ) -> tuple[list[str], PruneReport]:
-    """Offline pruning of row-level candidates in one distributed pass."""
+    """Offline pruning of row-level candidates from one column profile:
+    ``profile`` when the caller already has it (no Spark pass), else one
+    distributed aggregate."""
     report = PruneReport()
     if not attrs:
         return [], report
-    from repro.core.query import is_numeric
-
-    aggs = []
-    for a in attrs:
-        aggs.append(F.approx_count_distinct(a).alias(f"d_{a}"))
-        aggs.append(F.count(F.col(a)).alias(f"n_{a}"))
-    aggs.append(F.count(F.lit(1)).alias("__n"))
-    row = df.agg(*aggs).collect()[0]
-    n = row["__n"]
+    if profile is None:
+        profile = profile_columns(df, attrs)
+    n = profile.n
     kept: list[str] = []
     for a in attrs:
-        n_obs, n_dist = row[f"n_{a}"], row[f"d_{a}"]
+        n_obs, n_dist = profile.n_obs[a], profile.n_distinct[a]
         if n and n_obs < (1 - max_missing) * n:
             report.drop(a, "missing")
         elif n_dist <= 1:

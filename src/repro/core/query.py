@@ -7,10 +7,15 @@ that shape; execution is plain Spark SQL (checked against DuckDB by the
 tests via ``repro.oracle.assert_equivalent``).
 
 Numeric attributes are analyzed *binned* (the paper assumes binned
-numerics). ``bin_numeric`` produces quantile bins as a Catalyst ``CASE``
-chain so the pass stays in the optimizer; ``ensure_binned`` is the
-convenience used throughout: categorical and small-domain columns pass
-through untouched, numeric columns get a ``__b`` sibling.
+numerics). ``ensure_binned`` is the convenience used throughout:
+categorical and small-domain columns pass through untouched, numeric
+columns get a ``__b`` sibling holding a quantile bin, computed as a
+Catalyst ``CASE`` chain so the pass stays in the optimizer.
+
+Spark cost of binning, whatever the number of columns: one aggregate pass
+for the distinct counts (none when the caller passes the
+:class:`ColumnProfile` it already has, as ``Mesa.prepare`` does) and one
+multi-column ``approxQuantile`` pass for the edges.
 """
 from __future__ import annotations
 
@@ -95,61 +100,87 @@ def is_numeric(df: DataFrame, col: str) -> bool:
     return isinstance(df.schema[col].dataType, _NUMERIC_TYPES)
 
 
-def quantile_edges(df: DataFrame, col: str, bins: int) -> list[float]:
-    """Interior quantile cut points (deduplicated) for ``col``."""
+@dataclass(frozen=True)
+class ColumnProfile:
+    """Row count plus per-column non-null and approximate distinct counts."""
+
+    n: int
+    n_obs: dict[str, int]
+    n_distinct: dict[str, int]
+
+
+def profile_columns(df: DataFrame, cols: Sequence[str]) -> ColumnProfile:
+    """Profile ``df`` and every column of ``cols`` in one aggregate pass."""
+    cols = list(dict.fromkeys(cols))
+    aggs = [F.count(F.lit(1)).alias("__n")]
+    for i, c in enumerate(cols):
+        aggs.append(F.count(F.col(c)).alias(f"n{i}"))
+        aggs.append(F.approx_count_distinct(c).alias(f"d{i}"))
+    row = df.agg(*aggs).collect()[0]
+    return ColumnProfile(
+        n=row["__n"],
+        n_obs={c: row[f"n{i}"] for i, c in enumerate(cols)},
+        n_distinct={c: row[f"d{i}"] for i, c in enumerate(cols)},
+    )
+
+
+def quantile_edges(
+    df: DataFrame, cols: Sequence[str], bins: int
+) -> dict[str, list[float]]:
+    """Interior quantile cut points (deduplicated) of every column in
+    ``cols``, from one multi-column ``approxQuantile`` pass. Nulls are
+    ignored per column."""
+    cols = list(cols)
+    if not cols:
+        return {}
     probs = [i / bins for i in range(1, bins)]
-    qs = df.where(F.col(col).isNotNull()).approxQuantile(col, probs, 0.001)
-    edges: list[float] = []
-    for q in qs:
-        if not edges or q > edges[-1]:
-            edges.append(float(q))
-    return edges
+    out: dict[str, list[float]] = {}
+    for c, qs in zip(cols, df.approxQuantile(cols, probs, 0.001)):
+        edges: list[float] = []
+        for q in qs:
+            if not edges or q > edges[-1]:
+                edges.append(float(q))
+        out[c] = edges
+    return out
 
 
-def bin_numeric(
-    df: DataFrame, col: str, *, bins: int = 8, out: str | None = None
-) -> DataFrame:
-    """Add an integer quantile-bin column for ``col`` (nulls stay null).
-
-    The bin assignment is a ``CASE`` chain over the approx-quantile edges,
-    evaluated inside Catalyst — no Python-side row work.
-    """
-    out = out or col + BIN_SUFFIX
-    edges = quantile_edges(df, col, bins)
+def _bin_expr(col: str, edges: list[float]) -> Column:
+    """Integer quantile bin of ``col`` (nulls stay null) as a ``CASE``
+    chain over ``edges``, evaluated inside Catalyst."""
     expr: Column = F.lit(len(edges))
     for i in reversed(range(len(edges))):
         expr = F.when(F.col(col) <= F.lit(edges[i]), F.lit(i)).otherwise(expr)
     # NaN guards: a NaN would fail every <= comparison and land in the top
     # bin; treat it as missing like SQL null.
-    expr = F.when(
+    return F.when(
         F.col(col).isNull() | F.isnan(F.col(col).cast("double")),
         F.lit(None).cast("int"),
     ).otherwise(expr.cast("int"))
-    return df.withColumn(out, expr)
 
 
 def ensure_binned(
-    df: DataFrame, cols: Sequence[str], *, bins: int = 8
+    df: DataFrame,
+    cols: Sequence[str],
+    *,
+    bins: int = 8,
+    profile: ColumnProfile | None = None,
 ) -> tuple[DataFrame, dict[str, str]]:
     """Bin every numeric column in ``cols``; pass categoricals through.
 
     Returns the augmented DataFrame and a mapping ``original -> analysis
     column`` (identity for categoricals, ``col__b`` for binned numerics).
     Numeric columns whose observed domain is already ≤ ``bins`` distinct
-    values are treated as categorical codes and passed through.
+    values are treated as categorical codes and passed through. The
+    distinct counts come from ``profile`` when given (else one aggregate
+    pass); the edges of every binned column from one quantile pass.
     """
-    mapping: dict[str, str] = {}
     numeric = [c for c in cols if is_numeric(df, c)]
-    small: set[str] = set()
-    if numeric:
-        distinct = df.agg(
-            *[F.approx_count_distinct(c).alias(c) for c in numeric]
-        ).collect()[0]
-        small = {c for c in numeric if distinct[c] <= bins}
-    for c in cols:
-        if c in small or not is_numeric(df, c):
-            mapping[c] = c
-        else:
-            df = bin_numeric(df, c, bins=bins)
-            mapping[c] = c + BIN_SUFFIX
-    return df, mapping
+    if numeric and profile is None:
+        profile = profile_columns(df, numeric)
+    to_bin = [c for c in numeric if profile.n_distinct[c] > bins]
+    edges = quantile_edges(df, to_bin, bins)
+    if edges:
+        df = df.withColumns(
+            {c + BIN_SUFFIX: _bin_expr(c, e) for c, e in edges.items()}
+        )
+    return df, {c: c + BIN_SUFFIX if c in edges else c for c in cols}

@@ -4,9 +4,10 @@ Tables 2 and 3.
 All methods except MESA⁻ share a single prepared frame (extraction,
 pruning, binning, IPW — MESA's own preparation), exactly like the paper
 runs every baseline "after employing our pruning optimizations" for
-fairness. MESA⁻ re-prepares without pruning. Brute-Force refuses
-oversized instances (the paper only reports it on Covid-19 and Forbes);
-the harness records that as absent rather than failing the run.
+fairness; Top-K and HypDB also reuse MESA's scan of that frame. MESA⁻
+re-prepares without pruning. Brute-Force refuses oversized instances (the
+paper only reports it on Covid-19 and Forbes); the harness records that as
+absent rather than failing the run.
 """
 from __future__ import annotations
 
@@ -59,9 +60,12 @@ def run_all_methods(
         ds.df, cq.query, ds.kg, ds.extraction_cols, exclude=set(cq.exclude)
     )
     out: dict[str, MethodOutcome] = {}
+    # MESA's scan of the prepared candidates, which Top-K and HypDB reuse.
+    scan = None
     try:
         if "MESA" in methods:
             res = mesa.explain_prepared(prep)
+            scan = res.scan
             out["MESA"] = MethodOutcome(
                 "MESA",
                 selected=res.explanation,
@@ -98,6 +102,7 @@ def run_all_methods(
                 t=prep.t,
                 k=cfg.k,
                 weights=prep.weights,
+                scan=scan,
             )
             out["Top-K"] = MethodOutcome(
                 "Top-K",
@@ -131,6 +136,7 @@ def run_all_methods(
                 t=prep.t,
                 k=cfg.k,
                 weights=prep.weights,
+                scan=scan,
                 max_attrs=hypdb_max_attrs,
             )
             out["HypDB"] = MethodOutcome(

@@ -7,6 +7,7 @@ from repro.baselines.brute_force import brute_force
 from repro.baselines.hypdb import hypdb
 from repro.baselines.linreg import linear_regression
 from repro.baselines.topk import top_k
+from repro.core.contingency import scan_counts
 from repro.core.mcimr import mcimr
 
 
@@ -94,8 +95,6 @@ class TestTopK:
         assert len(res.selected) == 3
 
     def test_scan_reuse(self, confounded):
-        from repro.core.contingency import scan_counts
-
         scan = scan_counts(confounded, ["o_bin", "t"], CANDS)
         a = top_k(confounded, CANDS, o_bin="o_bin", t="t", k=2, scan=scan)
         b = top_k(confounded, CANDS, o_bin="o_bin", t="t", k=2)
@@ -223,3 +222,32 @@ class TestHypDB:
     def test_final_cmi_reported(self, confounded):
         res = hypdb(confounded, CANDS, o_bin="o_bin", t="t", k=3)
         assert res.final_cmi < res.base_cmi
+
+
+class TestPassedInScan:
+    """A scan passed in by the caller (as the harness passes MESA's) gives
+    the same result as the scan the baseline would run itself, also with
+    IPW weights and incomplete cases."""
+
+    @pytest.fixture(scope="class")
+    def weighted(self, spark, confounded):
+        pdf = confounded.toPandas()
+        rng = np.random.default_rng(5)
+        missing = rng.random(len(pdf)) < 0.3
+        pdf["gini"] = pdf["gini"].where(~missing)
+        pdf["w_gini"] = np.where(missing, np.nan, 0.5 + rng.random(len(pdf)))
+        pdf["w_hdi_copy"] = 0.5 + rng.random(len(pdf))
+        return spark.createDataFrame(pdf).cache()
+
+    WEIGHTS = {"gini": "w_gini", "hdi_copy": "w_hdi_copy"}
+
+    @pytest.mark.parametrize("method", [top_k, hypdb])
+    def test_same_result(self, weighted, method):
+        scan = scan_counts(weighted, ["o_bin", "t"], CANDS, self.WEIGHTS)
+        kw = dict(o_bin="o_bin", t="t", k=3, weights=self.WEIGHTS)
+        own = method(weighted, CANDS, **kw)
+        passed = method(weighted, CANDS, scan=scan, **kw)
+        assert own.selected
+        assert passed.selected == own.selected
+        assert passed.base_cmi == pytest.approx(own.base_cmi, abs=1e-12)
+        assert passed.final_cmi == pytest.approx(own.final_cmi, abs=1e-12)

@@ -9,6 +9,7 @@ from repro.core.pruning import (
     offline_prune_rows,
     online_prune,
 )
+from repro.core.query import profile_columns
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +73,24 @@ class TestOfflineRows:
         assert kept == []
         assert rep.dropped["rowid"] == "high_entropy"
 
-    def test_empty_attrs(self, spark, wide):
+    def test_empty_attrs(self, spark, wide, count_jobs):
         df = spark.createDataFrame(wide)
-        assert offline_prune_rows(df, []) == ([], pytest.approx) or True
-        kept, _ = offline_prune_rows(df, [])
+        (kept, rep), jobs = count_jobs(offline_prune_rows, df, [])
         assert kept == []
+        assert rep.dropped == {}
+        assert jobs == 0
+
+    def test_given_profile_runs_no_job(self, spark, wide, count_jobs):
+        df = spark.createDataFrame(wide.assign(cat=np.tile(["a", "b"], 100)))
+        attrs = ["const", "mostly_missing", "cat", "wikiid"]
+        own_kept, own_rep = offline_prune_rows(df, attrs)
+        profile = profile_columns(df, ["hdi", *attrs])
+        (kept, rep), jobs = count_jobs(
+            offline_prune_rows, df, attrs, profile=profile
+        )
+        assert jobs == 0
+        assert kept == own_kept == ["cat"]
+        assert rep.dropped == own_rep.dropped
 
 
 @pytest.fixture(scope="module")

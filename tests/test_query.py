@@ -7,7 +7,6 @@ from repro import synth_data
 from repro.core.query import (
     AggQuery,
     apply_context,
-    bin_numeric,
     ensure_binned,
     is_numeric,
     quantile_edges,
@@ -98,7 +97,7 @@ class TestAggQuery:
 
 class TestBinning:
     def test_bin_count_and_balance(self, li):
-        binned = bin_numeric(li, "l_extendedprice", bins=8)
+        binned, _ = ensure_binned(li, ["l_extendedprice"], bins=8)
         sizes = (
             binned.groupBy("l_extendedprice__b").count().toPandas()["count"]
         )
@@ -107,7 +106,7 @@ class TestBinning:
         assert sizes.max() < 2 * li.count() / 8
 
     def test_bins_are_ordered_by_value(self, li):
-        binned = bin_numeric(li, "l_extendedprice", bins=4)
+        binned, _ = ensure_binned(li, ["l_extendedprice"], bins=4)
         agg = (
             binned.groupBy("l_extendedprice__b")
             .agg(F.max("l_extendedprice").alias("mx"), F.min("l_extendedprice").alias("mn"))
@@ -120,13 +119,16 @@ class TestBinning:
         df = spark.createDataFrame(
             pd.DataFrame({"x": [1.0, 2.0, None, 4.0, 5.0, 6.0, 7.0, 8.0]})
         )
-        binned = bin_numeric(df, "x", bins=2)
+        binned, _ = ensure_binned(df, ["x"], bins=2)
         assert binned.where(F.col("x").isNull()).select("x__b").collect()[0][0] is None
 
     def test_quantile_edges_dedup(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"x": [1.0] * 99 + [2.0]}))
-        edges = quantile_edges(df, "x", 8)
-        assert edges == sorted(set(edges))
+        df = spark.createDataFrame(
+            pd.DataFrame({"x": [1.0] * 99 + [2.0], "y": range(100)})
+        )
+        edges = quantile_edges(df, ["x", "y"], 8)
+        assert edges["x"] == sorted(set(edges["x"]))
+        assert len(edges["y"]) == 7
 
     def test_is_numeric(self, li):
         assert is_numeric(li, "l_quantity")
