@@ -7,7 +7,7 @@ these Spark aggregations. Two shapes:
 ``joint_counts``
     ``groupBy(cols).agg(sum(weight))`` — the joint distribution of an
     explicit column set (used for multi-attribute conditioning sets:
-    brute force, responsibility, subgroup scores, the responsibility test).
+    brute force, responsibility, the responsibility test).
 
 ``scan_counts``
     the wide-to-long pass: ``stack`` all candidate attributes into
@@ -16,7 +16,11 @@ these Spark aggregations. Two shapes:
     with the fixed columns (O and T for the MCI scores and pruning tests;
     the last selected attribute for MCIMR's redundancy term). This is the
     dataflow the repro band asks for: candidate attribute sources joined to
-    the query result, correlation scores via aggregation.
+    the query result, correlation scores via aggregation. ``group_sizes``
+    is the same long pass for Algorithm 2: it counts every child group of
+    a refinement and, given fixed columns, takes each child's complete-case
+    ``(O, T, E)`` contingency alongside, so one job per expanded node
+    scores all of its children.
 
 Attribute values are cast to string inside the long pass (mixed candidate
 types share one ``val`` column); null values — incomplete cases for that
@@ -25,6 +29,7 @@ semantics the IPW weights correct for.
 """
 from __future__ import annotations
 
+from functools import reduce
 from typing import Mapping, Sequence
 
 import pandas as pd
@@ -129,23 +134,48 @@ def scan_counts(
 
 
 def group_sizes(
-    df: DataFrame, attrs: Sequence[str]
+    df: DataFrame,
+    attrs: Sequence[str],
+    *,
+    fixed_cols: Sequence[str] = (),
+    weight_col: str | None = None,
 ) -> pd.DataFrame:
     """Sizes of all single-assignment groups ``attr = val`` in one pass.
 
     Used by the unexplained-subgroups search (Algorithm 2) to rank the
     children of a refinement by data-group size without one job per
     attribute. Returns columns ``[ATTR_COL, VAL_COL, 'size']``.
+
+    With ``fixed_cols`` the same pass also yields each group's joint
+    contingency with the fixed columns: rows are split by
+    ``(ATTR_COL, VAL_COL, *fixed_cols)`` and the frame gains the fixed
+    columns (cast to string) and ``CNT``, the sum of ``weight_col`` (1 per
+    row without one) over the rows where every fixed column is observed.
+    Rows with a null fixed column are kept, so ``size`` summed over a
+    group's rows counts every row with ``attr = val``, while the non-null
+    ``CNT`` cells are exactly ``joint_counts(df.where(attr = val),
+    fixed_cols, weight_col)``: sizes count all rows, scores complete cases.
     """
+    fixed_cols = list(fixed_cols)
+    out_cols = [ATTR_COL, VAL_COL, *fixed_cols, "size"]
+    if fixed_cols:
+        out_cols.append(CNT)
     if not attrs:
-        return pd.DataFrame(columns=[ATTR_COL, VAL_COL, "size"])
-    long_df = df.select(_stack_expr(list(attrs), None)).where(
-        F.col(VAL_COL).isNotNull()
-    )
-    pdf = (
-        long_df.groupBy(ATTR_COL, VAL_COL)
-        .agg(F.count(F.lit(1)).alias("size"))
-        .toPandas()
-    )
+        return pd.DataFrame(columns=out_cols)
+    attrs = list(attrs)
+    weights = dict.fromkeys(attrs, weight_col) if weight_col else None
+    long_df = df.select(
+        *[F.col(c).cast("string").alias(c) for c in fixed_cols],
+        _stack_expr(attrs, weights),
+    ).where(F.col(VAL_COL).isNotNull())
+    aggs = [F.count(F.lit(1)).alias("size")]
+    if fixed_cols:
+        complete = reduce(
+            lambda x, y: x & y, [F.col(c).isNotNull() for c in fixed_cols]
+        )
+        aggs.append(F.sum(F.when(complete, F.col(W_COL))).alias(CNT))
+    pdf = long_df.groupBy(ATTR_COL, VAL_COL, *fixed_cols).agg(*aggs).toPandas()
     pdf["size"] = pdf["size"].astype(int)
-    return pdf
+    if fixed_cols:
+        pdf[CNT] = pdf[CNT].astype(float)
+    return pdf[out_cols]

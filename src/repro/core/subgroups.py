@@ -7,12 +7,17 @@ look for a different one.
 
 The refinement lattice is traversed top-down with a max-heap keyed on
 group size. Each node is generated once (children only extend with
-attributes strictly later in a canonical order). Per popped node: one
-small joint-contingency Spark job for the score; per expanded node: one
-``group_sizes`` scan pass producing the sizes of *all* children at once.
-A node whose score exceeds τ is reported (unless an ancestor already was)
-and not expanded — the algorithm returns the most general unexplained
-groups, exactly as Prop 4.4 states.
+attributes strictly later in a canonical order), and the children of a
+node are pushed in a fixed order — size descending, then attribute
+position in ``refine_attrs``, then value — so equal-sized groups are
+visited the same way whatever Spark's partitioning or the input's row
+order. Per expanded node: one ``group_sizes`` pass producing the size AND
+the complete-case ``(O, T, E)`` contingency of *all* its children at once.
+A popped node is scored on the driver from the contingency its parent's
+pass left, so the search costs one Spark job per expanded node and none
+per pop. A node whose score exceeds τ is reported (unless an ancestor
+already was) and not expanded — the algorithm returns the most general
+unexplained groups, exactly as Prop 4.4 states.
 """
 from __future__ import annotations
 
@@ -22,12 +27,12 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.contingency import ATTR_COL, VAL_COL, group_sizes
-from repro.core.contingency import joint_counts
-from repro.core.info_theory import cmi_from_counts
+from repro.core.info_theory import CNT, cmi_from_counts
 from repro.core.mcimr import combined_weight
 
 
@@ -52,6 +57,8 @@ class SubgroupSearchResult:
 
 
 def _filter(df: DataFrame, conds: tuple[tuple[str, str], ...]) -> DataFrame:
+    if not conds:
+        return df
     preds = [F.col(a).cast("string") == F.lit(v) for a, v in conds]
     return df.where(reduce(lambda x, y: x & y, preds))
 
@@ -87,34 +94,50 @@ def top_k_unexplained(
     """
     refine_attrs = [a for a in refine_attrs if a != t and a != o_bin]
     order = {a: i for i, a in enumerate(refine_attrs)}
+    fixed = [o_bin, t, *explanation]
+    dfw, wcol = combined_weight(df_ctx, explanation, weights)
     results: list[Refinement] = []
     trace: list[dict] = []
-    counter = itertools.count()  # heap tie-breaker
+    counter = itertools.count()  # heap tie-breaker: push order
     heap: list[tuple[int, int, tuple[tuple[str, str], ...]]] = []
+    # Complete-case (O, T, E) contingency of every pushed, not yet popped node.
+    pending: dict[tuple[tuple[str, str], ...], pd.DataFrame] = {}
 
-    def push_children(base_df: DataFrame, conds: tuple[tuple[str, str], ...]):
+    def push_children(conds: tuple[tuple[str, str], ...]):
         last = max((order[a] for a, _ in conds), default=-1)
         attrs_after = [a for a in refine_attrs if order[a] > last]
         if not attrs_after:
             return
-        sizes = group_sizes(base_df, attrs_after)
-        for _, row in sizes.iterrows():
-            size = int(row["size"])
-            if size >= min_size:
-                child = conds + ((str(row[ATTR_COL]), str(row[VAL_COL])),)
-                heapq.heappush(heap, (-size, next(counter), child))
+        cells = group_sizes(
+            _filter(dfw, conds), attrs_after, fixed_cols=fixed, weight_col=wcol
+        )
+        sizes = cells.groupby([ATTR_COL, VAL_COL])["size"].sum()
+        children = sorted(
+            ((int(n), a, v) for (a, v), n in sizes.items() if n >= min_size),
+            key=lambda c: (-c[0], order[c[1]], c[2]),
+        )
+        complete = {
+            key: pdf
+            for key, pdf in cells.dropna(subset=fixed).groupby(
+                [ATTR_COL, VAL_COL]
+            )
+        }
+        empty = pd.DataFrame(columns=[*fixed, CNT])
+        for size, a, v in children:
+            child = conds + ((a, v),)
+            pdf = complete.get((a, v), empty)
+            pending[child] = pdf[[*fixed, CNT]].reset_index(drop=True)
+            heapq.heappush(heap, (-size, next(counter), child))
 
-    push_children(df_ctx, ())
+    push_children(())
     explored = 0
     while heap and len(results) < k and explored < max_nodes:
         neg_size, _, conds = heapq.heappop(heap)
         size = -neg_size
         explored += 1
-        sub = _filter(df_ctx, conds)
         # One joint contingency yields both the conditioned score and the
         # group's own baseline (marginalize the explanation columns).
-        dfw, wcol = combined_weight(sub, explanation, weights)
-        pdf = joint_counts(dfw, [o_bin, t, *explanation], weight_col=wcol)
+        pdf = pending.pop(conds)
         score = cmi_from_counts(pdf, o_bin, t, explanation)
         base_g = cmi_from_counts(pdf, o_bin, t)
         ratio = score / base_g if base_g > 1e-9 else 0.0
@@ -129,7 +152,7 @@ def top_k_unexplained(
                     Refinement(conds=conds, size=size, score=score, ratio=ratio)
                 )
         else:
-            push_children(sub, conds)
+            push_children(conds)
     return SubgroupSearchResult(
         groups=results, nodes_explored=explored, trace=trace
     )

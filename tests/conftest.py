@@ -1,5 +1,7 @@
 import itertools
 
+import numpy as np
+import pandas as pd
 import pytest
 
 _groups = itertools.count()
@@ -23,3 +25,30 @@ def count_jobs(spark):
         return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
     return run
+
+
+@pytest.fixture(scope="session")
+def regional_pdf():
+    """Explanation {hdi} is globally good but fails inside region r1,
+    where salary additionally depends on gini."""
+    rng = np.random.default_rng(13)
+    n = 16000
+    region = rng.choice(["r1", "r2", "r3"], n, p=[0.5, 0.3, 0.2])
+    country = rng.integers(0, 12, n)
+    hdi = country % 4
+    gini = (country // 4) % 3
+    o = hdi * 3 + np.where(region == "r1", gini * 3, 0) + rng.integers(0, 2, n)
+    return pd.DataFrame(
+        {
+            "t": [f"c{c:02d}" for c in country],
+            "region": region,
+            "other": rng.choice(["u", "v"], n),
+            "hdi": hdi,
+            "o_bin": o,
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def regional(spark, regional_pdf):
+    return spark.createDataFrame(regional_pdf).cache()

@@ -1,4 +1,5 @@
 """Spark contingency passes, checked cell-for-cell against DuckDB."""
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -172,3 +173,48 @@ class TestGroupSizes:
 
     def test_empty_attrs(self, li):
         assert group_sizes(li, []).empty
+
+    def test_fixed_cols_with_nulls_and_weights_match_duckdb(self, spark):
+        """``size`` counts every row of a (attr, val, fixed…) cell, ``CNT``
+        sums the weight over the rows whose fixed columns are all observed
+        (null where there are none)."""
+        rng = np.random.default_rng(5)
+        n = 600
+
+        def col(values, null_frac):
+            v = rng.choice(values, n).astype(object)
+            v[rng.random(n) < null_frac] = None
+            return v
+
+        pdf = pd.DataFrame(
+            {
+                "g1": col(["a", "b", "c"], 0.2),
+                "g2": col(["x", "y"], 0.1),
+                "o": col(["0", "1", "2"], 0.15),
+                "t": col(["p", "q"], 0.1),
+                "w": rng.random(n) + 0.5,
+            }
+        )
+        df = spark.createDataFrame(pdf)
+        out = group_sizes(df, ["g1", "g2"], fixed_cols=["o", "t"], weight_col="w")
+        assert list(out.columns) == [ATTR_COL, VAL_COL, "o", "t", "size", CNT]
+        assert out[CNT].isna().any()  # some cells hold incomplete rows only
+        per_attr = [
+            f"""
+            SELECT '{a}' AS {ATTR_COL}, {a} AS {VAL_COL}, o, t,
+                   count(*) AS size,
+                   SUM(CASE WHEN o IS NOT NULL AND t IS NOT NULL THEN w END)
+                       AS {CNT}
+            FROM d WHERE {a} IS NOT NULL GROUP BY 2, 3, 4
+            """
+            for a in ("g1", "g2")
+        ]
+        assert_equivalent(
+            spark.createDataFrame(out), " UNION ALL ".join(per_attr), d=pdf
+        )
+        # Summed over the fixed columns, sizes equal the plain call's.
+        sizes = out.groupby([ATTR_COL, VAL_COL])["size"].sum().sort_index()
+        plain = group_sizes(df, ["g1", "g2"]).set_index([ATTR_COL, VAL_COL])
+        pd.testing.assert_series_equal(
+            sizes, plain["size"].sort_index(), check_names=False
+        )

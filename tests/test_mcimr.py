@@ -155,29 +155,6 @@ class TestResponsibility:
         assert responsibilities(confounded, [], o_bin="o_bin", t="t") == {}
 
 
-@pytest.fixture(scope="module")
-def regional(spark):
-    """Explanation {hdi} is globally good but fails inside region r1,
-    where salary additionally depends on gini."""
-    rng = np.random.default_rng(13)
-    n = 16000
-    region = rng.choice(["r1", "r2", "r3"], n, p=[0.5, 0.3, 0.2])
-    country = rng.integers(0, 12, n)
-    hdi = country % 4
-    gini = (country // 4) % 3
-    o = hdi * 3 + np.where(region == "r1", gini * 3, 0) + rng.integers(0, 2, n)
-    pdf = pd.DataFrame(
-        {
-            "t": [f"c{c:02d}" for c in country],
-            "region": region,
-            "other": rng.choice(["u", "v"], n),
-            "hdi": hdi,
-            "o_bin": o,
-        }
-    )
-    return spark.createDataFrame(pdf).cache()
-
-
 class TestSubgroups:
     def test_finds_unexplained_region(self, regional):
         res = top_k_unexplained(

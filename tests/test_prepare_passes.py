@@ -17,6 +17,9 @@ PREPARE_JOB_BUDGET = 20
 #: Spark jobs of one ``run_all_methods`` (all six methods) on Forbes Q2
 #: with n_junk=8 (measured: 95).
 HARNESS_JOB_BUDGET = 95
+#: Spark jobs of ``Mesa.explain_prepared`` with k=5 on SO Q1 at the TINY
+#: scale, n_junk=8 (measured: 22).
+EXPLAIN_JOB_BUDGET = 22
 
 
 def _cached(ds):
@@ -74,6 +77,12 @@ class TestJobBudget:
 
     def test_prepare_within_budget(self, so_runs):
         assert so_runs[8][2] <= PREPARE_JOB_BUDGET
+
+    def test_explain_within_budget(self, spark, so_runs, count_jobs):
+        mesa = Mesa(spark, MesaConfig(k=5))
+        res, jobs = count_jobs(mesa.explain_prepared, so_runs[8][1])
+        assert res.explanation
+        assert jobs <= EXPLAIN_JOB_BUDGET
 
     def test_harness_within_budget(self, spark, forbes, count_jobs):
         cq = get_query("Forbes", "Q2")
